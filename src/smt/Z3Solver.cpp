@@ -8,7 +8,9 @@
 /// Translates the interned Expr DAG into Z3 ASTs (via the C API) and asks Z3
 /// for satisfiability — the same backend the paper's implementation uses.
 /// Translation is memoised per node so shared subformulas are translated
-/// once.
+/// once. One incremental solver lives as long as the backend: each query
+/// is asserted inside its own push/pop scope, so nothing carries over from
+/// one query to the next except Z3's internal caches (DESIGN.md section 11).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,16 +37,27 @@ public:
     Z3_del_config(Cfg);
     IntSort = Z3_mk_int_sort(Z);
     BoolSort = Z3_mk_bool_sort(Z);
+    S = Z3_mk_simple_solver(Z);
+    Z3_solver_inc_ref(Z, S);
   }
 
-  ~Z3Solver() override { Z3_del_context(Z); }
+  ~Z3Solver() override {
+    Z3_solver_dec_ref(Z, S);
+    Z3_del_context(Z);
+  }
+  Z3Solver(const Z3Solver &) = delete;
+  Z3Solver &operator=(const Z3Solver &) = delete;
 
   SatResult checkSat(const Expr *E) override {
-    Z3_solver S = Z3_mk_solver(Z);
-    Z3_solver_inc_ref(Z, S);
-    Z3_solver_assert(Z, S, translate(E));
+    // Translate before the push. In a Z3_mk_context context an AST stays
+    // valid only until a pop takes the scope below the level it was made
+    // at, so the memoised translations must be made at the base level.
+    // Nothing between push and pop can then throw and leave a scope open.
+    Z3_ast A = translate(E);
+    Z3_solver_push(Z, S);
+    Z3_solver_assert(Z, S, A);
     Z3_lbool R = Z3_solver_check(Z, S);
-    Z3_solver_dec_ref(Z, S);
+    Z3_solver_pop(Z, S, 1);
     if (R == Z3_L_TRUE)
       return SatResult::Sat;
     if (R == Z3_L_FALSE)
@@ -150,6 +163,7 @@ private:
 
   ExprContext &Ctx;
   Z3_context Z;
+  Z3_solver S; ///< Reused by every query, one push/pop scope each.
   Z3_sort IntSort, BoolSort;
   std::unordered_map<uint32_t, Z3_ast> Vars;
   std::unordered_map<const Expr *, Z3_ast> Memo;

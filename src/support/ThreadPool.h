@@ -108,9 +108,8 @@ public:
   const CancelToken &shutdownToken() const { return Shutdown; }
 
   /// Scheduling counters, monotone over the pool's lifetime. All of them
-  /// reflect nondeterministic interleaving (like the SMT acceleration
-  /// counters) and are exempt from the cross-run determinism contract;
-  /// they feed the `[sched]` stats line.
+  /// reflect nondeterministic interleaving and are exempt from the
+  /// cross-run determinism contract; they feed the `[sched]` stats line.
   struct SchedStats {
     uint64_t LocalPops = 0; ///< Owner popped its own deque (LIFO hit).
     uint64_t InboxPops = 0; ///< Popped from the shared inbox.

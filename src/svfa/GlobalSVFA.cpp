@@ -107,29 +107,14 @@ public:
                smt::createDefaultSolver(
                    AM.context(),
                    smt::SolverConfig{.TimeoutMs = Gov.solverTimeoutMs()}),
-               Opts.UseLinearFilter, &Gov) {
-    if (Opts.SolverCache)
-      Solver.setQueryCache(&QCache);
-    Solver.setSlicing(Opts.SolverSlicing);
-  }
+               Opts.UseLinearFilter, &Gov) {}
 
   std::vector<Report> run();
   const smt::StagedSolver::Stats &solverStats() const {
     // Fold in the per-chunk solvers of the parallel discharge (all zero on
     // the serial path, making this the plain inline stats).
     Merged = Solver.stats();
-    Merged.Queries += Deferred.Queries;
-    Merged.LinearUnsat += Deferred.LinearUnsat;
-    Merged.BackendQueries += Deferred.BackendQueries;
-    Merged.BackendUnsat += Deferred.BackendUnsat;
-    Merged.BackendUnknown += Deferred.BackendUnknown;
-    Merged.InjectedUnknown += Deferred.InjectedUnknown;
-    Merged.BackendCalls += Deferred.BackendCalls;
-    Merged.CacheHits += Deferred.CacheHits;
-    Merged.SlicedQueries += Deferred.SlicedQueries;
-    Merged.ComponentsRefuted += Deferred.ComponentsRefuted;
-    Merged.Retries += Deferred.Retries;
-    Merged.TransientFailures += Deferred.TransientFailures;
+    Merged += Deferred;
     return Merged;
   }
 
@@ -293,9 +278,6 @@ private:
   ContextTable CT;
   smt::LinearSolver Linear;
   ResourceGovernor &Gov;
-  /// One verdict cache per run, shared by the inline solver and every
-  /// parallel discharge chunk (declared before Solver so it outlives it).
-  smt::QueryCache QCache;
   smt::StagedSolver Solver;
 
   /// Hot per-function caches: accessed only by point lookup (never
@@ -898,59 +880,26 @@ void GlobalSVFA::Impl::dischargePending() {
   const size_t NumChunks = std::min<size_t>(N, size_t(Pool.workers()) * 4);
   std::mutex StatsMu;
 
-  // Cross-function batching (DESIGN.md section 14). Contiguous chunking
-  // follows generation order, which clusters one source function's
-  // candidates into one chunk — a function with the expensive queries
-  // serializes the discharge on one worker. Instead, probe the run-wide
-  // verdict cache once per candidate (a pure lookup, no solver counters)
-  // and deal the *misses* — the candidates that will actually pay a solve —
-  // round-robin across chunks regardless of originating function.
-  // Duplicate miss formulas (interned, so pointer-comparable) go to the
-  // same chunk: its sequential solve warms the shared cache for the
-  // duplicates instead of two chunks racing the backend on one query.
-  // Cache-known candidates are dealt round-robin too; they cost one cache
-  // hit wherever they land. Every candidate still flows through a chunk
-  // solver's checkSat, so the deterministic stats fields count exactly as
-  // before — only the chunk assignment changed, and verdicts are still
-  // committed in generation order below.
+  // Deal candidates round-robin across the chunks rather than in
+  // contiguous runs: generation order clusters one source function's
+  // candidates together, so contiguous chunks would put a function with
+  // expensive queries on one worker. Each chunk still visits its
+  // candidates in generation order, and verdicts are committed in
+  // generation order below.
   std::vector<std::vector<size_t>> Chunks(NumChunks);
-  {
-    std::unordered_map<const smt::Expr *, size_t> MissChunk;
-    size_t NextMiss = 0, NextHit = 0;
-    for (size_t I = 0; I < N; ++I) {
-      const smt::Expr *E = Pending[I].Full;
-      if (Opts.SolverCache && QCache.lookup(E)) {
-        Chunks[NextHit++ % NumChunks].push_back(I);
-        continue;
-      }
-      auto [It, Fresh] = MissChunk.try_emplace(E, NextMiss % NumChunks);
-      if (Fresh)
-        ++NextMiss;
-      Chunks[It->second].push_back(I);
-    }
-    // Per-chunk generation order (entries were appended ascending, so this
-    // holds already; assert-in-spirit, kept explicit for clarity).
-    for (std::vector<size_t> &C : Chunks)
-      std::sort(C.begin(), C.end());
-  }
+  for (size_t I = 0; I < N; ++I)
+    Chunks[I % NumChunks].push_back(I);
 
   ThreadPool::TaskGroup G(Pool);
   for (size_t C = 0; C < NumChunks; ++C) {
-    if (Chunks[C].empty())
-      continue;
     G.spawn([this, Chunk = std::move(Chunks[C]), &Verdicts, &StatsMu] {
       // Each chunk owns its StagedSolver (and thereby its Z3 context /
-      // MiniSolver state), so chunks never share backend state — only the
-      // run-wide QueryCache, which is sharded and thread-safe, so a
-      // component refuted in one chunk is a cache hit in every other.
+      // MiniSolver state), so chunks never share backend state.
       smt::StagedSolver ChunkSolver(
           Ctx,
           smt::createDefaultSolver(
               Ctx, smt::SolverConfig{.TimeoutMs = Gov.solverTimeoutMs()}),
           Opts.UseLinearFilter, &Gov);
-      if (Opts.SolverCache)
-        ChunkSolver.setQueryCache(&QCache);
-      ChunkSolver.setSlicing(Opts.SolverSlicing);
       for (size_t K = 0; K < Chunk.size(); ++K) {
         // Per-query cancellation poll: the chunk drains by downgrading its
         // remaining candidates to Unknown (kept soundily, tagged in the
@@ -964,20 +913,8 @@ void GlobalSVFA::Impl::dischargePending() {
         ChunkSolver.setQueryOrigin(Pending[I].R.SourceFn);
         Verdicts[I] = ChunkSolver.checkSat(Pending[I].Full);
       }
-      const smt::StagedSolver::Stats &CS = ChunkSolver.stats();
       std::lock_guard<std::mutex> L(StatsMu);
-      Deferred.Queries += CS.Queries;
-      Deferred.LinearUnsat += CS.LinearUnsat;
-      Deferred.BackendQueries += CS.BackendQueries;
-      Deferred.BackendUnsat += CS.BackendUnsat;
-      Deferred.BackendUnknown += CS.BackendUnknown;
-      Deferred.InjectedUnknown += CS.InjectedUnknown;
-      Deferred.BackendCalls += CS.BackendCalls;
-      Deferred.CacheHits += CS.CacheHits;
-      Deferred.SlicedQueries += CS.SlicedQueries;
-      Deferred.ComponentsRefuted += CS.ComponentsRefuted;
-      Deferred.Retries += CS.Retries;
-      Deferred.TransientFailures += CS.TransientFailures;
+      Deferred += ChunkSolver.stats();
     });
   }
   G.wait();

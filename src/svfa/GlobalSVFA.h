@@ -68,14 +68,6 @@ struct GlobalOptions {
   bool PathSensitive = true;
   /// Linear pre-filter in the staged solver (ablation knob).
   bool UseLinearFilter = true;
-  /// Shared verdict cache in the staged solver: one QueryCache per run,
-  /// consulted by the inline path and every parallel discharge chunk
-  /// (ablation knob; CLI --solver-cache).
-  bool SolverCache = true;
-  /// Conjunct slicing in the staged solver: variable-disjoint components
-  /// discharged independently (ablation knob; toggled with SolverCache by
-  /// the CLI, separable here for the four-way ablation bench).
-  bool SolverSlicing = true;
   /// Demand-driven mode: skip summary construction for functions the
   /// relevance pre-pass (svfa/Demand.h) proves irrelevant to this
   /// checker. The engine computes its own per-checker relevance set (a

@@ -14,11 +14,6 @@
 ///     --max-depth=N     calling-context depth (default 6)
 ///     --no-path-sensitivity   skip the SMT feasibility stage
 ///     --no-linear-filter      disable the linear-time pre-filter
-///     --solver-cache=MODE     on | off (default on): the query-acceleration
-///                       layer in the staged solver — shared verdict cache +
-///                       conjunct slicing (DESIGN.md section 11). Reports
-///                       are byte-identical across modes; only speed and
-///                       the acceleration counters change.
 ///     --demand=MODE     on | off (default on): demand-driven value-flow
 ///                       slicing (DESIGN.md section 13). A relevance
 ///                       pre-pass over the call graph skips summary
@@ -28,9 +23,10 @@
 ///                       back to the source-only cone). With --cache-dir,
 ///                       the computed relevance is persisted and warm runs
 ///                       replay it instead of re-walking the graph.
-///                       Reports and the degradation log are byte-identical
-///                       across modes; only speed, memory and the [demand]
-///                       counters change.
+///                       Reports, the degradation log and the verdict-
+///                       bearing [checker] fields are byte-identical across
+///                       modes; `events` and `linear-pruned` also count
+///                       work in functions outside the slice.
 ///     --relevance-refresh=MODE  auto | full | local (default auto): how a
 ///                       warm run reacts to a persisted relevance entry
 ///                       from an edited subject (DESIGN.md section 15).
@@ -122,7 +118,6 @@ struct Options {
   int MaxDepth = 6;
   bool PathSensitive = true;
   bool LinearFilter = true;
-  bool SolverCache = true;
   bool Demand = true;
   bool DumpIR = false;
   bool Stats = false;
@@ -151,8 +146,6 @@ void usage() {
       "  --max-depth=N            calling context depth (default 6)\n"
       "  --no-path-sensitivity    report all candidates (no SMT stage)\n"
       "  --no-linear-filter       disable the linear-time pre-filter\n"
-      "  --solver-cache=MODE      on | off (default on): SMT verdict cache "
-      "+ conjunct slicing\n"
       "  --demand=MODE            on | off (default on): demand-driven "
       "value-flow slicing\n"
       "  --relevance-refresh=MODE auto | full | local (default auto): warm-"
@@ -282,16 +275,6 @@ ParseResult parseArgs(int Argc, char **Argv, Options &O) {
                      O.Schedule.c_str());
         return ParseResult::Error;
       }
-    } else if (A.rfind("--solver-cache=", 0) == 0) {
-      const std::string Mode = A.substr(std::strlen("--solver-cache="));
-      if (Mode != "on" && Mode != "off") {
-        std::fprintf(stderr,
-                     "error: invalid --solver-cache value '%s' (expected on "
-                     "or off)\n",
-                     Mode.c_str());
-        return ParseResult::Error;
-      }
-      O.SolverCache = Mode == "on";
     } else if (A.rfind("--demand=", 0) == 0) {
       const std::string Mode = A.substr(std::strlen("--demand="));
       if (Mode != "on" && Mode != "off") {
@@ -510,8 +493,6 @@ int pinpointToolMain(int Argc, char **Argv) {
     GO.MaxContextDepth = O.MaxDepth;
     GO.PathSensitive = O.PathSensitive;
     GO.UseLinearFilter = O.LinearFilter;
-    GO.SolverCache = O.SolverCache;
-    GO.SolverSlicing = O.SolverCache;
     GO.Demand = O.Demand;
     GO.Governor = &Gov;
     GO.Pool = Pool.get();
@@ -612,13 +593,9 @@ int pinpointToolMain(int Argc, char **Argv) {
       TotalRetries += SolverStats.Retries;
       TotalTransientFailures += SolverStats.TransientFailures;
       if (O.Stats && Name != "leak") {
-        // The trailing acceleration counters (backend-calls onward) are
-        // interleaving-dependent under --jobs with the shared cache; every
-        // field before them is deterministic.
         std::printf("[%s] events=%llu candidates=%llu sat=%llu unsat=%llu "
                     "unknown=%llu linear-pruned=%llu smt-queries=%llu "
-                    "isolated-failures=%llu backend-calls=%llu "
-                    "cache-hits=%llu sliced=%llu comps-refuted=%llu\n",
+                    "isolated-failures=%llu backend-calls=%llu\n",
                     Name.c_str(), (unsigned long long)EngineStats.Events,
                     (unsigned long long)EngineStats.Candidates,
                     (unsigned long long)EngineStats.SolverSat,
@@ -627,10 +604,7 @@ int pinpointToolMain(int Argc, char **Argv) {
                     (unsigned long long)EngineStats.LinearPruned,
                     (unsigned long long)SolverStats.BackendQueries,
                     (unsigned long long)EngineStats.IsolatedFailures,
-                    (unsigned long long)SolverStats.BackendCalls,
-                    (unsigned long long)SolverStats.CacheHits,
-                    (unsigned long long)SolverStats.SlicedQueries,
-                    (unsigned long long)SolverStats.ComponentsRefuted);
+                    (unsigned long long)SolverStats.BackendCalls);
       }
     }
 

@@ -498,13 +498,8 @@ const smt::Expr *backendQuery(smt::ExprContext &Ctx) {
 }
 
 smt::StagedSolver makeSolver(smt::ExprContext &Ctx, ResourceGovernor &Gov) {
-  smt::StagedSolver S(Ctx, smt::createMiniSolver(Ctx),
-                      /*UseLinearFilter=*/true, &Gov);
-  // One backend discharge per query: conjunct slicing would otherwise
-  // split the test formula into per-component discharges, each with its
-  // own retry loop, making the retry accounting below component-shaped.
-  S.setSlicing(false);
-  return S;
+  return smt::StagedSolver(Ctx, smt::createMiniSolver(Ctx),
+                           /*UseLinearFilter=*/true, &Gov);
 }
 
 ResourceGovernor makeGov(int RetryTransient, const std::string &FaultSpec) {
